@@ -1,11 +1,13 @@
 """Capture the bench_headline wall-clock baseline into BENCH_headline.json.
 
-Run from the repository root::
+Run with the package on the path::
 
     PYTHONPATH=src python benchmarks/capture_baseline.py
 
-The committed ``BENCH_headline.json`` gives future changes a perf
-trajectory to compare against.  Two configurations are timed:
+The output defaults to ``benchmarks/BENCH_headline.json`` next to this
+script, wherever it is launched from.  The committed file gives future
+changes a perf trajectory to compare against.  Two configurations are
+timed:
 
 * ``no_cache`` — the mapping cache is cleared before every run, so each
   run re-pays the Section 5 mapping DP (the pre-fast-path behaviour);
@@ -19,11 +21,12 @@ fast-path work: ``analytic_engine`` times the closed-form analytic
 engine against the tile engine, and ``sweep`` times the full
 ``generate_report`` pipeline with the persistent result cache off /
 cold (empty store) / warm (populated store).  ``dse_batched`` times the
-cold ``dse_array_scale`` sweep under the legacy scalar mapper loops
-(``REPRO_BATCHED_MAPPER=off``) vs the batched SoA path.
+cold ``dse_array_scale`` sweep under the scalar reference mapper
+(``tests/oracles``, patched in for the run) vs the vectorized NumPy
+search, both legs under ``REPRO_KERNELS=numpy``.
 ``kernels`` times the same cold sweep under ``REPRO_KERNELS=numpy`` vs
-the best compiled backend (numba or the generated-C extension) and is
-guarded by an absolute >= 3x floor whenever a compiled backend exists.
+the compiled C backend and is guarded by an absolute >= 3x floor
+whenever the C backend builds.
 ``dse_per_layer`` pins the per-layer reconfigurable-dataflow plans
 (``repro dse --per-layer``, see ``docs/DATAFLOWS.md``) — deterministic
 model outputs enforced exactly, with absolute invariants on AlexNet
@@ -73,6 +76,9 @@ from repro.dataflow import clear_mapping_cache
 from repro.experiments import headline_claims
 from repro.nn import ConvLayer, make_inputs, make_kernels
 from repro.sim import FlexFlowFunctionalSim
+
+#: Where the baseline lives: next to this script, independent of the CWD.
+DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_headline.json"
 
 #: Layer used for the engine micro-benchmark: LeNet-5 C3 scale.
 ENGINE_LAYER = ConvLayer("bench", in_maps=6, out_maps=16, out_size=10, kernel=5)
@@ -193,12 +199,25 @@ def _sweep(rounds: int) -> dict:
     }
 
 
-def _dse_batched(rounds: int) -> dict:
-    """Time the cold ``dse_array_scale`` sweep: scalar vs batched mapper.
+def _scalar_engine():
+    """:func:`tests.oracles.scalar_engine`, however this script was launched."""
+    repo_root = str(Path(__file__).resolve().parent.parent)
+    if repo_root not in sys.path:
+        sys.path.insert(0, repo_root)
+    from tests.oracles import scalar_engine
 
+    return scalar_engine()
+
+
+def _dse_batched(rounds: int) -> dict:
+    """Time the cold ``dse_array_scale`` sweep: scalar oracle vs NumPy search.
+
+    The scalar leg patches the reference loops from ``tests/oracles``
+    into the mapper (``unittest.mock.patch``); the batched leg is the
+    production NumPy search.  Both legs run under ``REPRO_KERNELS=numpy``
+    so the ratio measures vectorization alone, never compiled C.
     Every round clears the in-process mapping caches first, so both
-    engines pay the full candidate-enumeration + coupling-DP cost — the
-    honest cold-sweep comparison the batched SoA path was built for.
+    engines pay the full candidate-enumeration + coupling-DP cost.
     The persistent store stays off so only mapper speed is measured.
 
     A round is tens of milliseconds — the same order as one gen-2
@@ -209,6 +228,7 @@ def _dse_batched(rounds: int) -> dict:
     import gc
 
     from repro.experiments import dse_array_scale
+    from repro.kernels import reset_kernels
 
     def run_sweep():
         clear_mapping_cache()
@@ -219,22 +239,26 @@ def _dse_batched(rounds: int) -> dict:
     gc.collect()
     gc.disable()
     try:
-        with _env(REPRO_CACHE="off"):
-            for engine in ("off", "on"):
-                with _env(REPRO_BATCHED_MAPPER=engine):
-                    run_sweep()
-                    samples[engine] = _time(run_sweep, rounds)
+        with _env(REPRO_CACHE="off", REPRO_KERNELS="numpy"):
+            reset_kernels()
+            with _scalar_engine():
+                run_sweep()
+                samples["scalar"] = _time(run_sweep, rounds)
+            run_sweep()
+            samples["batched"] = _time(run_sweep, rounds)
     finally:
+        reset_kernels()
         if gc_was_enabled:
             gc.enable()
     clear_mapping_cache()
     return {
         "experiment": "dse_array_scale",
-        "scalar": _summary(samples["off"]),
-        "batched": _summary(samples["on"]),
+        "backend": "numpy",
+        "scalar": _summary(samples["scalar"]),
+        "batched": _summary(samples["batched"]),
         "speedup_median": round(
-            statistics.median(samples["off"])
-            / statistics.median(samples["on"]),
+            statistics.median(samples["scalar"])
+            / statistics.median(samples["batched"]),
             2,
         ),
     }
@@ -256,15 +280,15 @@ SWEEP_COLD_MIN = 0.95
 def _kernels(rounds: int) -> dict:
     """Time the cold ``dse_array_scale`` sweep: NumPy vs compiled kernels.
 
-    Both legs run the batched SoA mapper; only ``REPRO_KERNELS`` differs,
+    Both legs run the production mapper; only ``REPRO_KERNELS`` differs,
     so the ratio isolates the compiled backend's win over the NumPy
-    expressions it replaces.  The compiled leg resolves ``auto`` (numba
-    if installed, else the C extension) and records which backend it
-    got; on a machine with neither, both legs are NumPy and ``--check``
+    expressions it replaces.  The compiled leg resolves ``auto`` (the C
+    extension when it builds) and records which backend it got; on a
+    machine without a C compiler both legs are NumPy and ``--check``
     skips the floor.  GC discipline matches ``_dse_batched`` — rounds
     are tens of milliseconds, so GC is collected once and paused across
     the timed region, with an untimed warm-up per leg (which also pays
-    the one-time JIT/compile cost outside the samples).
+    the one-time compile cost outside the samples).
     """
     import gc
 
@@ -281,7 +305,7 @@ def _kernels(rounds: int) -> dict:
     gc.collect()
     gc.disable()
     try:
-        with _env(REPRO_CACHE="off", REPRO_BATCHED_MAPPER="on"):
+        with _env(REPRO_CACHE="off"):
             for leg, choice in (("numpy", "numpy"), ("compiled", "auto")):
                 with _env(REPRO_KERNELS=choice):
                     reset_kernels()
@@ -558,9 +582,9 @@ def check(baseline_path: Path, tolerance: float) -> int:
     # sub-millisecond, so honest runs swing ~30%; losing the fast path
     # entirely would drop the ratio below half of any recorded baseline.
     # dse_batched.speedup_median compares two in-process compute paths
-    # (no disk in either denominator), so it is steadier than the cache
-    # ratios; 0.5 still catches the real failure mode — the batched
-    # path silently degrading back toward scalar speed.
+    # (no disk in either denominator, both on NumPy), so it is steadier
+    # than the cache ratios; 0.5 still catches the real failure mode —
+    # the vectorized search silently degrading toward scalar speed.
     # serve.warm_over_cold_throughput shares sweep.warm's shape — a
     # sub-millisecond cached path over a compute-bound cold path — so it
     # gets the same 75% band; a broken serve cache or coalescer drags
@@ -678,11 +702,12 @@ def check(baseline_path: Path, tolerance: float) -> int:
     return 0
 
 
-def main(argv: list) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "output", nargs="?", default="BENCH_headline.json",
-        help="where to write the captured baseline",
+        "output", nargs="?", default=str(DEFAULT_OUTPUT),
+        help="where to write the captured baseline (default:"
+        " benchmarks/BENCH_headline.json next to this script)",
     )
     parser.add_argument(
         "--check", action="store_true",
@@ -697,7 +722,11 @@ def main(argv: list) -> int:
         "--tolerance", type=float, default=0.30,
         help="allowed fractional slowdown vs baseline (default 0.30)",
     )
-    args = parser.parse_args(argv[1:])
+    return parser
+
+
+def main(argv: list) -> int:
+    args = build_parser().parse_args(argv[1:])
 
     if args.check:
         return check(Path(args.baseline or args.output), args.tolerance)

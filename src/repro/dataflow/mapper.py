@@ -26,7 +26,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from repro.dataflow.styles import ProcessingStyle, classify
 from repro.dataflow.unrolling import (
     UnrollingFactors,
     ceil_div,
-    iter_triples,
     useful_values,
 )
 from repro.dataflow.utilization import UtilizationReport, utilization_report
@@ -61,30 +60,6 @@ ENV_MAPPING_CACHE_SIZE = "REPRO_MAPPING_CACHE_SIZE"
 
 #: Default ``map_layer`` memo bound when the env var is unset.
 DEFAULT_MAPPING_CACHE_SIZE = 4096
-
-#: Environment variable selecting the candidate-scoring implementation:
-#: ``on`` (default) scores candidates through the vectorized
-#: structure-of-arrays path with dominated-candidate pruning; ``off``
-#: falls back to the legacy scalar per-candidate loops.  Both produce
-#: identical mappings (pinned by ``tests/dataflow/test_candidates.py``);
-#: the flag exists so benchmarks can measure one against the other.
-ENV_BATCHED_MAPPER = "REPRO_BATCHED_MAPPER"
-
-
-def batched_mapper_enabled() -> bool:
-    """Whether the vectorized candidate-scoring path is active."""
-    raw = os.environ.get(ENV_BATCHED_MAPPER)
-    if raw is None:
-        return True
-    value = raw.strip().lower()
-    if value in ("", "on", "1", "true", "yes"):
-        return True
-    if value in ("off", "0", "false", "no"):
-        return False
-    raise ConfigurationError(
-        f"{ENV_BATCHED_MAPPER} must be 'on' or 'off', got {raw!r}"
-    )
-
 
 def mapping_cache_size() -> int:
     """The configured ``map_layer`` memo bound (``REPRO_MAPPING_CACHE_SIZE``)."""
@@ -197,10 +172,8 @@ class NetworkMapping:
 # -- per-side candidate enumeration -------------------------------------------
 
 
-# Memoized per-dimension useful values for the batched path only: one
-# cold sweep re-derives the same few (dimension, limit) sets hundreds of
-# times.  The legacy scalar loops keep calling ``useful_values`` directly
-# so ``REPRO_BATCHED_MAPPER=off`` stays a faithful baseline.
+# Memoized per-dimension useful values: one cold sweep re-derives the
+# same few (dimension, limit) sets hundreds of times.
 _useful_cached = lru_cache(maxsize=None)(useful_values)
 
 
@@ -254,9 +227,7 @@ def _candidate_tuples(
 def _candidate_list(dims: Triple, product_limit: int, caps: Triple) -> List[Triple]:
     if product_limit <= 0:
         raise MappingError("product_limit must be positive")
-    if batched_mapper_enabled():
-        return list(_candidate_tuples(dims, product_limit, caps))
-    return sorted(set(iter_triples(dims, product_limit, caps)))
+    return list(_candidate_tuples(dims, product_limit, caps))
 
 
 def candidate_array(dims: Triple, product_limit: int, caps: Triple) -> np.ndarray:
@@ -303,55 +274,6 @@ def _steps_array(dims: Triple, triples: np.ndarray) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class CandidateScores:
-    """Batched scores for all ``input x output`` candidate pairs of a layer.
-
-    ``cycles[i, j]`` is the compute-cycle count of pairing input triple
-    ``i`` with output triple ``j`` — the product of the two step counts,
-    exactly what the scalar ``_input_steps * _output_steps`` evaluates
-    pair by pair.
-    """
-
-    input_triples: np.ndarray  # (n_in, 3)
-    output_triples: np.ndarray  # (n_out, 3)
-    input_steps: np.ndarray  # (n_in,)
-    output_steps: np.ndarray  # (n_out,)
-    cycles: np.ndarray  # (n_in, n_out)
-
-
-def score_candidates_batch(
-    layer: ConvLayer,
-    input_triples: Union[np.ndarray, Sequence[Triple]],
-    output_triples: Union[np.ndarray, Sequence[Triple]],
-) -> CandidateScores:
-    """Score every input x output candidate pair in one vectorized pass."""
-    ins = np.atleast_2d(np.asarray(input_triples, dtype=np.int64))
-    outs = np.atleast_2d(np.asarray(output_triples, dtype=np.int64))
-    for arr, side in ((ins, "input"), (outs, "output")):
-        if arr.size and arr.shape[1] != 3:
-            raise MappingError(
-                f"{side} triples must have shape (N, 3), got {arr.shape}"
-            )
-    dims_in = (layer.in_maps, layer.kernel, layer.kernel)
-    dims_out = (layer.out_maps, layer.out_size, layer.out_size)
-    suite = active_kernels()
-    if suite is not None and ins.size and outs.size:
-        fin, fout, cycles = suite.pair_cycles(dims_in, ins, dims_out, outs)
-        count_kernel_call("pair_cycles", suite.backend)
-    else:
-        fin = _steps_array(dims_in, ins)
-        fout = _steps_array(dims_out, outs)
-        cycles = fin[:, None] * fout[None, :]
-    return CandidateScores(
-        input_triples=ins,
-        output_triples=outs,
-        input_steps=fin,
-        output_steps=fout,
-        cycles=cycles,
-    )
-
-
 @lru_cache(maxsize=4096)
 def _best_input_cached(
     in_maps: int, kernel: int, col_limit: int
@@ -364,7 +286,7 @@ def _best_input_cached(
     return triple, int(fin[pick]), len(arr)
 
 
-def _best_input_batched(layer: ConvLayer, col_limit: int) -> Tuple[Triple, int, int]:
+def _best_input(layer: ConvLayer, col_limit: int) -> Tuple[Triple, int, int]:
     """``(best_triple, steps, n_candidates)`` via the vectorized path.
 
     ``np.argmin`` returns the first minimum and the candidate array is in
@@ -376,7 +298,7 @@ def _best_input_batched(layer: ConvLayer, col_limit: int) -> Tuple[Triple, int, 
     return _best_input_cached(layer.in_maps, layer.kernel, col_limit)
 
 
-def _best_output_batched(
+def _best_output(
     layer: ConvLayer, row_limit: int, tr_tc_bound: Optional[int]
 ) -> Tuple[Triple, int]:
     """``(best_triple, n_candidates)`` via the vectorized path.
@@ -496,16 +418,8 @@ def _map_layer_impl(
         labels={"dim": str(array_dim)},
     ) as span:
         row_limit, col_limit = _usable_limits(array_dim, mask)
-        batched = batched_mapper_enabled()
         if fixed_input_triple is None:
-            if batched:
-                best_in, _, n_input_candidates = _best_input_batched(
-                    layer, col_limit
-                )
-            else:
-                ins = input_candidates(layer, col_limit)
-                best_in = min(ins, key=lambda t: (_input_steps(layer, t), t))
-                n_input_candidates = len(ins)
+            best_in, _, n_input_candidates = _best_input(layer, col_limit)
         else:
             best_in = fixed_input_triple
             n_input_candidates = 0  # coupled: no intra-row search ran
@@ -517,21 +431,9 @@ def _map_layer_impl(
                 )
         # Tie-break equal-cycle choices toward larger Tm: fewer output-map tile
         # groups means each input word is re-broadcast fewer times.
-        if batched:
-            best_out, n_output_candidates = _best_output_batched(
-                layer, row_limit, tr_tc_bound
-            )
-        else:
-            outs = output_candidates(layer, row_limit, tr_tc_bound)
-            best_out = min(
-                outs,
-                key=lambda t: (
-                    _output_steps(layer, t),
-                    ceil_div(layer.out_maps, t[0]),
-                    t,
-                ),
-            )
-            n_output_candidates = len(outs)
+        best_out, n_output_candidates = _best_output(
+            layer, row_limit, tr_tc_bound
+        )
         factors = UnrollingFactors(
             tm=best_out[0], tn=best_in[0], tr=best_out[1], tc=best_out[2],
             ti=best_in[1], tj=best_in[2],
@@ -724,18 +626,13 @@ def _map_network_search(
         raise MappingError(f"network {network.name!r} has no CONV layers")
     row_limit, col_limit = _usable_limits(array_dim, mask)
 
-    if batched_mapper_enabled():
-        suite = active_kernels()
-        if suite is not None:
-            final_cost, final_trace, counters = _search_kernel(
-                contexts, array_dim, row_limit, col_limit, suite
-            )
-        else:
-            final_cost, final_trace, counters = _search_batched(
-                contexts, array_dim, row_limit, col_limit
-            )
+    suite = active_kernels()
+    if suite is not None:
+        final_cost, final_trace, counters = _search_kernel(
+            contexts, array_dim, row_limit, col_limit, suite
+        )
     else:
-        final_cost, final_trace, counters = _search_scalar(
+        final_cost, final_trace, counters = _search_batched(
             contexts, array_dim, row_limit, col_limit
         )
     mappings: List[LayerMapping] = []
@@ -776,87 +673,6 @@ def _map_network_search(
     return result
 
 
-def _search_scalar(
-    contexts, array_dim: int, row_limit: int, col_limit: int
-) -> Tuple[int, tuple, Dict[str, int]]:
-    """The legacy per-candidate DP (``REPRO_BATCHED_MAPPER=off``)."""
-    # Per-layer candidate sets and their step counts.
-    layer_outs: List[List[Triple]] = []
-    for ctx in contexts:
-        outs = output_candidates(ctx.layer, row_limit, ctx.tr_tc_bound)
-        layer_outs.append(outs)
-
-    # DP state: best (cost, trace) for each output triple of the current
-    # layer.  ``trace`` records, per layer, (input_triple, output_triple,
-    # relayout_cycles) for reconstruction.
-    first = contexts[0].layer
-    free_in_first = min(
-        input_candidates(first, col_limit), key=lambda t: (_input_steps(first, t), t)
-    )
-    fin_first = _input_steps(first, free_in_first)
-
-    best: Dict[Triple, Tuple[int, tuple]] = {}
-    for out in layer_outs[0]:
-        cost = _output_steps(first, out) * fin_first
-        entry = (cost, ((free_in_first, out, 0),))
-        current = best.get(out)
-        if current is None or cost < current[0]:
-            best[out] = entry
-
-    for idx in range(1, len(contexts)):
-        layer = contexts[idx].layer
-        # Free-choice option: best input triple regardless of predecessor.
-        free_in = min(
-            input_candidates(layer, col_limit),
-            key=lambda t: (_input_steps(layer, t), t),
-        )
-        fin_free = _input_steps(layer, free_in)
-        penalty = relayout_penalty_cycles(layer, array_dim)
-
-        # Bucket predecessors by their coupled input triple for this layer.
-        coupled_buckets: Dict[Optional[Triple], Tuple[int, tuple]] = {}
-        best_prev_any: Optional[Tuple[int, tuple]] = None
-        for prev_out, (prev_cost, prev_trace) in best.items():
-            coupled = coupled_input_triple(prev_out, layer, col_limit)
-            bucket = coupled_buckets.get(coupled)
-            if bucket is None or prev_cost < bucket[0]:
-                coupled_buckets[coupled] = (prev_cost, prev_trace)
-            if best_prev_any is None or prev_cost < best_prev_any[0]:
-                best_prev_any = (prev_cost, prev_trace)
-        assert best_prev_any is not None
-
-        new_best: Dict[Triple, Tuple[int, tuple]] = {}
-        for out in layer_outs[idx]:
-            fout = _output_steps(layer, out)
-            # Option A: stay coupled with the best-matching predecessor.
-            candidate: Optional[Tuple[int, tuple]] = None
-            for coupled, (prev_cost, prev_trace) in coupled_buckets.items():
-                if coupled is None:
-                    continue
-                cost = prev_cost + fout * _input_steps(layer, coupled)
-                if candidate is None or cost < candidate[0]:
-                    candidate = (cost, prev_trace + ((coupled, out, 0),))
-            # Option B: break coupling, pay the re-layout penalty.
-            prev_cost, prev_trace = best_prev_any
-            free_cost = prev_cost + fout * fin_free + penalty
-            if candidate is None or free_cost < candidate[0]:
-                candidate = (free_cost, prev_trace + ((free_in, out, penalty),))
-            new_best[out] = candidate
-        best = new_best
-
-    last_layer = contexts[-1].layer
-    final_cost, final_trace = min(
-        best.items(),
-        key=lambda item: (
-            item[1][0],
-            ceil_div(last_layer.out_maps, item[0][0]),
-            item[0],
-        ),
-    )[1]
-    counters = {"output_candidates": sum(len(outs) for outs in layer_outs)}
-    return final_cost, final_trace, counters
-
-
 @lru_cache(maxsize=None)
 def _useful_arr(dim: int) -> np.ndarray:
     """``useful_values(dim, dim)`` as a read-only sorted int64 array."""
@@ -874,12 +690,14 @@ def _search_kernel(
     useful-value pool to ``map_network_dp``, which enumerates the FULL
     output-candidate sets, picks each layer's best free input, and runs
     the coupling DP — all inside the kernel.  The DP is a direct port of
-    :func:`_search_scalar`'s loops (strict-``<`` first-wins updates,
-    transition buckets in first-appearance order, final
-    ``(cost, ceil(M/Tm), triple)`` tie-break); its only deviation is
-    pruning transition buckets whose ``(cost, fin)`` is dominated, which
-    provably never changes any winner.  Bit-identical to both python
-    engines (pinned by ``tests/kernels/test_parity.py``).
+    the scalar reference loops (``tests/oracles/mapper.py``: strict-``<``
+    first-wins updates, transition buckets in first-appearance order,
+    final ``(cost, ceil(M/Tm), triple)`` tie-break); its only deviation
+    is pruning transition buckets whose ``(cost, fin)`` is dominated,
+    which provably never changes any winner.  Bit-identical to
+    :func:`_search_batched` and to the oracle (pinned by
+    ``tests/kernels/test_parity.py`` and
+    ``tests/test_oracle_conformance.py``).
     """
     n_layers = len(contexts)
     pool: Dict[int, int] = {}
@@ -1019,17 +837,19 @@ def _search_batched(
 ) -> Tuple[int, tuple, Dict[str, int]]:
     """The vectorized coupling DP over Pareto-pruned candidate sets.
 
-    Produces bit-identical mappings to :func:`_search_scalar`: the pruning
-    argument lives in :func:`_pruned_layer_outs`, and every argmin below
-    resolves ties the way the scalar strict-``<`` loops do (first
-    occurrence, with buckets visited in first-appearance order).
+    The NumPy path, used when no compiled backend is loaded.  Produces
+    bit-identical mappings to the scalar reference DP
+    (``tests/oracles/mapper.py``): the pruning argument lives in
+    :func:`_pruned_layer_outs`, and every argmin below resolves ties the
+    way the scalar strict-``<`` loops do (first occurrence, with buckets
+    visited in first-appearance order).
     """
     first = contexts[0].layer
     next_layer = contexts[1].layer if len(contexts) > 1 else None
     outs, fout, coupled_arr, coupled_ok, bucket_first, n_full = _pruned_layer_outs(
         first, contexts[0].tr_tc_bound, row_limit, col_limit, next_layer
     )
-    free_in_first, fin_first, _ = _best_input_batched(first, col_limit)
+    free_in_first, fin_first, _ = _best_input(first, col_limit)
     state_cost = fout * fin_first
     state_coupled_arr = coupled_arr
     state_coupled_ok = coupled_ok
@@ -1045,7 +865,7 @@ def _search_batched(
 
     for idx in range(1, len(contexts)):
         layer = contexts[idx].layer
-        free_in, fin_free, _ = _best_input_batched(layer, col_limit)
+        free_in, fin_free, _ = _best_input(layer, col_limit)
         penalty = relayout_penalty_cycles(layer, array_dim)
         next_layer = contexts[idx + 1].layer if idx + 1 < len(contexts) else None
         outs, fout, coupled_arr, coupled_ok, bucket_first, n_full = _pruned_layer_outs(

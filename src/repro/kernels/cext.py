@@ -23,7 +23,7 @@ import shutil
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -117,28 +117,10 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         _I64_P, ctypes.c_int64, _I64_P, ctypes.c_int64,
         _I64_P, ctypes.c_int64, ctypes.c_int64, _I64_P,
     ]
-    lib.repro_pair_cycles.restype = None
-    lib.repro_pair_cycles.argtypes = [
-        _I64_P, _I64_P, ctypes.c_int64,
-        _I64_P, _I64_P, ctypes.c_int64,
-        _I64_P, _I64_P, _I64_P,
-    ]
-    lib.repro_coupling_dp.restype = ctypes.c_int64
-    lib.repro_coupling_dp.argtypes = [
-        _I64_P, _I64_P, ctypes.c_int64, _I64_P, _I64_P, _I64_P, _I64_P,
-        ctypes.c_int64, _I64_P, _I64_P, _I64_P, _I64_P,
-    ]
     lib.repro_map_network.restype = ctypes.c_int64
     lib.repro_map_network.argtypes = [
         _I64_P, _I64_P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
         _I64_P, _I64_P, _I64_P, _I64_P,
-    ]
-    lib.repro_flexflow_store_sums.restype = None
-    lib.repro_flexflow_store_sums.argtypes = [
-        ctypes.c_int64,
-        _I64_P, _I64_P, _I64_P, _I64_P,
-        _I64_P, _I64_P, _I64_P, _I64_P, _I64_P, _I64_P,
-        _I64_P, _I64_P,
     ]
     lib.repro_surviving_structures.restype = ctypes.c_int64
     lib.repro_surviving_structures.argtypes = [
@@ -181,66 +163,6 @@ class CExtKernels:
         )
         return out[: int(kept)]
 
-    def pair_cycles(
-        self,
-        dims_in: Triple,
-        ins: np.ndarray,
-        dims_out: Triple,
-        outs: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(fin, fout, fin x fout)`` step counts for every candidate pair."""
-        ins = _i64(ins)
-        outs = _i64(outs)
-        n, m = len(ins), len(outs)
-        fin = np.empty(n, dtype=np.int64)
-        fout = np.empty(m, dtype=np.int64)
-        cycles = np.empty((n, m), dtype=np.int64)
-        din = _i64(dims_in)
-        dout = _i64(dims_out)
-        self._lib.repro_pair_cycles(
-            _ptr(din), _ptr(ins), n, _ptr(dout), _ptr(outs), m,
-            _ptr(fin), _ptr(fout), _ptr(cycles),
-        )
-        return fin, fout, cycles
-
-    def coupling_dp(
-        self,
-        cand: np.ndarray,
-        offsets: np.ndarray,
-        ldims: np.ndarray,
-        free_in: np.ndarray,
-        fin_free: np.ndarray,
-        penalty: np.ndarray,
-        col_limit: int,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-        """The whole-network coupling DP; see ``repro_coupling_dp``.
-
-        Returns ``(in_triples, out_triples, relayout_cycles, total_cost,
-        total_candidates)`` with one row per CONV layer.
-        """
-        cand = _i64(cand)
-        offsets = _i64(offsets)
-        ldims = _i64(ldims)
-        free_in = _i64(free_in)
-        fin_free = _i64(fin_free)
-        penalty = _i64(penalty)
-        n_layers = len(ldims)
-        in_out = np.empty((n_layers, 3), dtype=np.int64)
-        out_out = np.empty((n_layers, 3), dtype=np.int64)
-        relayout = np.empty(n_layers, dtype=np.int64)
-        cost = np.empty(1, dtype=np.int64)
-        total = self._lib.repro_coupling_dp(
-            _ptr(cand), _ptr(offsets), n_layers, _ptr(ldims),
-            _ptr(free_in), _ptr(fin_free), _ptr(penalty),
-            ctypes.c_int64(col_limit),
-            _ptr(in_out), _ptr(out_out), _ptr(relayout), _ptr(cost),
-        )
-        if total < 0:
-            raise MappingError(
-                f"coupling DP kernel rejected its inputs (code {int(total)})"
-            )
-        return in_out, out_out, relayout, int(cost[0]), int(total)
-
     def map_network_dp(
         self,
         uvals: np.ndarray,
@@ -271,33 +193,6 @@ class CExtKernels:
                 f"map-network kernel rejected its inputs (code {int(total)})"
             )
         return in_out, out_out, relayout, int(cost[0]), int(total)
-
-    # -- sim ------------------------------------------------------------------
-
-    def flexflow_store_sums(
-        self,
-        n_total: np.ndarray,
-        k_total: np.ndarray,
-        s_total: np.ndarray,
-        m_total: np.ndarray,
-        tn: np.ndarray,
-        ti: np.ndarray,
-        tj: np.ndarray,
-        tr: np.ndarray,
-        tc: np.ndarray,
-        cap: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(kernel_bus, kernel_misses)`` per configuration."""
-        cols = [_i64(x) for x in (
-            n_total, k_total, s_total, m_total, tn, ti, tj, tr, tc, cap
-        )]
-        batch = len(cols[0])
-        bus = np.empty(batch, dtype=np.int64)
-        misses = np.empty(batch, dtype=np.int64)
-        self._lib.repro_flexflow_store_sums(
-            batch, *(_ptr(col) for col in cols), _ptr(bus), _ptr(misses)
-        )
-        return bus, misses
 
     # -- faults ---------------------------------------------------------------
 

@@ -8,20 +8,19 @@ the source + compile command — editing a kernel automatically invalidates
 every previously built ``.so``.
 
 Every function mirrors a NumPy expression elsewhere in the tree and must
-stay **bit-identical** to it (pinned by ``tests/kernels/test_parity.py``):
+stay **bit-identical** to it (pinned by ``tests/kernels/test_parity.py``
+and the oracle conformance suite, ``tests/test_oracle_conformance.py``):
 
 * ``repro_enumerate_triples`` — the meshgrid + ``nonzero`` candidate
   enumeration of ``repro.dataflow.mapper._candidate_cache`` (C-order
   nested loops == lexicographic order over sorted inputs).
-* ``repro_pair_cycles`` — ``score_candidates_batch``'s step counts and
-  outer-product cycle matrix.
-* ``repro_coupling_dp`` — the inter-layer coupling DP, a direct port of
-  the reference ``_search_scalar`` loops (strict-``<`` first-wins
-  updates, buckets in first-appearance order, final pick by
+* ``repro_map_network`` — the fused whole-network search behind
+  ``repro.dataflow.mapper._search_kernel``: candidate enumeration, the
+  best free input per layer, and the inter-layer coupling DP (the static
+  ``coupling_dp``, a direct port of the scalar reference loops in
+  ``tests/oracles/mapper.py``: strict-``<`` first-wins updates, buckets
+  in first-appearance order, final pick by
   ``(cost, ceil(M/Tm), lexicographic)``).
-* ``repro_flexflow_store_sums`` — the kernel-store fits/thrashes
-  dichotomy of ``repro.sim.batch.batch_flexflow_traces`` (integer sums,
-  order-independent, hence exact).
 * ``repro_surviving_structures`` — the structure-survival counting of
   ``repro.faults.impact`` (reshape + any + sum).
 
@@ -34,7 +33,7 @@ from __future__ import annotations
 
 #: Bumped when the ABI (function names/signatures) changes incompatibly;
 #: folded into the build hash alongside the source text.
-KERNELS_C_ABI = 2
+KERNELS_C_ABI = 3
 
 KERNELS_C_SOURCE = r"""
 #include <stdint.h>
@@ -44,12 +43,6 @@ typedef int64_t i64;
 
 /* ceil(a / b) over positive ints. */
 static i64 cdiv(i64 a, i64 b) { return (a + b - 1) / b; }
-
-/* ceil(max(extent, 0) / step): the padded class-table term. */
-static i64 ceil_pos(i64 extent, i64 step) {
-    if (extent <= 0) return 0;
-    return (extent + step - 1) / step;
-}
 
 /* Lexicographic triple enumeration under a product limit.  `a`, `b`,
  * `c` are sorted ascending and pre-filtered by the per-factor caps;
@@ -74,27 +67,6 @@ i64 repro_enumerate_triples(const i64 *a, i64 na, const i64 *b, i64 nb,
     return n;
 }
 
-/* Step counts per side plus the (n x m) outer-product cycle matrix. */
-void repro_pair_cycles(const i64 *dims_in, const i64 *ins, i64 n,
-                       const i64 *dims_out, const i64 *outs, i64 m,
-                       i64 *fin, i64 *fout, i64 *cycles) {
-    for (i64 i = 0; i < n; i++) {
-        fin[i] = cdiv(dims_in[0], ins[i * 3])
-               * cdiv(dims_in[1], ins[i * 3 + 1])
-               * cdiv(dims_in[2], ins[i * 3 + 2]);
-    }
-    for (i64 j = 0; j < m; j++) {
-        fout[j] = cdiv(dims_out[0], outs[j * 3])
-                * cdiv(dims_out[1], outs[j * 3 + 1])
-                * cdiv(dims_out[2], outs[j * 3 + 2]);
-    }
-    for (i64 i = 0; i < n; i++) {
-        for (i64 j = 0; j < m; j++) {
-            cycles[i * m + j] = fin[i] * fout[j];
-        }
-    }
-}
-
 /* The whole-network inter-layer coupling DP over the full (unpruned)
  * per-layer output-candidate arrays.  Semantics are exactly the
  * reference scalar DP:
@@ -116,11 +88,11 @@ void repro_pair_cycles(const i64 *dims_in, const i64 *ins, i64 n,
  * Outputs: per-layer chosen input/output triples and relayout cycles,
  * plus the total cost.  Returns the total candidate count on success or
  * a negative error code. */
-i64 repro_coupling_dp(const i64 *cand, const i64 *offsets, i64 n_layers,
-                      const i64 *ldims, const i64 *free_in,
-                      const i64 *fin_free, const i64 *penalty,
-                      i64 col_limit, i64 *in_out, i64 *out_out,
-                      i64 *relayout_out, i64 *cost_out) {
+static i64 coupling_dp(const i64 *cand, const i64 *offsets, i64 n_layers,
+                       const i64 *ldims, const i64 *free_in,
+                       const i64 *fin_free, const i64 *penalty,
+                       i64 col_limit, i64 *in_out, i64 *out_out,
+                       i64 *relayout_out, i64 *cost_out) {
     if (n_layers <= 0) return -1;
     i64 max_n = 0;
     for (i64 i = 0; i < n_layers; i++) {
@@ -433,56 +405,12 @@ i64 repro_map_network(const i64 *uvals, const i64 *spec, i64 n_layers,
         fin_free[i] = best_fin;
     }
 
-    i64 total = repro_coupling_dp(cand, offsets, n_layers, ldims, free_in,
-                                  fin_free, penalty, col_limit, in_out,
-                                  out_out, relayout_out, cost_out);
+    i64 total = coupling_dp(cand, offsets, n_layers, ldims, free_in,
+                            fin_free, penalty, col_limit, in_out, out_out,
+                            relayout_out, cost_out);
     free(cand); free(offsets); free(ldims);
     free(free_in); free(fin_free); free(penalty);
     return total;
-}
-
-/* Kernel-store fits/thrashes sums per configuration (the regrouped
- * sum_col l * (thrash ? {n_spatial, sum_nat} : {1, cnt_nat}) form). */
-void repro_flexflow_store_sums(i64 batch, const i64 *n_total,
-                               const i64 *k_total, const i64 *s_total,
-                               const i64 *m_total, const i64 *tn,
-                               const i64 *ti, const i64 *tj, const i64 *tr,
-                               const i64 *tc, const i64 *cap,
-                               i64 *kernel_bus, i64 *kernel_misses) {
-    for (i64 i = 0; i < batch; i++) {
-        i64 rc = tr[i] * tc[i];
-        i64 sum_nat = 0, cnt_nat = 0;
-        for (i64 r = 0; r < rc; r++) {
-            i64 dr = r / tc[i];
-            i64 dc = r % tc[i];
-            i64 nat = ceil_pos(s_total[i] - dr, tr[i])
-                    * ceil_pos(s_total[i] - dc, tc[i]);
-            sum_nat += nat;
-            cnt_nat += nat < 1 ? nat : 1;
-        }
-        i64 n_spatial = cdiv(s_total[i], tr[i]) * cdiv(s_total[i], tc[i]);
-        i64 occ = tn[i] * ti[i] * tj[i];
-        i64 titj = ti[i] * tj[i];
-        i64 bus = 0, miss = 0;
-        for (i64 col = 0; col < occ; col++) {
-            i64 dn = col / titj;
-            i64 rest = col % titj;
-            i64 di = rest / tj[i];
-            i64 dj = rest % tj[i];
-            i64 l = ceil_pos(n_total[i] - dn, tn[i])
-                  * ceil_pos(k_total[i] - di, ti[i])
-                  * ceil_pos(k_total[i] - dj, tj[i]);
-            if (l > cap[i]) {
-                bus += l * n_spatial;
-                miss += l * sum_nat;
-            } else {
-                bus += l;
-                miss += l * cnt_nat;
-            }
-        }
-        kernel_bus[i] = m_total[i] * bus;
-        kernel_misses[i] = m_total[i] * miss;
-    }
 }
 
 /* Count structures (row-major groups of `size` PEs) with no dead member.

@@ -3,8 +3,8 @@
 The :class:`~repro.serve.coalescer.Coalescer` collapses *identical*
 in-flight requests; this scheduler generalizes it to *compatible* ones —
 same kind and network (and arch), different dims/grid points, exactly
-the axes :func:`repro.experiments.common.evaluate_sweep` and the batched
-SoA engine consume in one shot.  A cold request that misses the cache
+the axes :func:`repro.experiments.common.evaluate_sweep` consumes in one
+shot.  A cold request that misses the cache
 parks in a pending batch for up to ``window_ms``; requests arriving
 inside the window join it, and when the window closes (or the batch
 reaches ``max_batch`` members) the whole group ships to the worker pool

@@ -6,15 +6,6 @@ from repro.sim.analytic import (
     analytic_systolic_trace,
     analytic_tiling_trace,
 )
-from repro.sim.batch import (
-    FactorBatch,
-    LayerBatch,
-    TraceBatch,
-    batch_flexflow_traces,
-    batch_mapping2d_traces,
-    batch_systolic_traces,
-    batch_tiling_traces,
-)
 from repro.sim.export import (
     compare_runs,
     load_run,
@@ -36,13 +27,6 @@ __all__ = [
     "analytic_mapping2d_trace",
     "analytic_systolic_trace",
     "analytic_tiling_trace",
-    "batch_flexflow_traces",
-    "batch_mapping2d_traces",
-    "batch_systolic_traces",
-    "batch_tiling_traces",
-    "FactorBatch",
-    "LayerBatch",
-    "TraceBatch",
     "CoordStore",
     "FlexFlowFunctionalSim",
     "FlexFlowNetworkSim",

@@ -1,39 +1,30 @@
 """Regression suite for the vectorized candidate-enumeration/scoring path.
 
-Pins the three invariants the batched DSE engine rests on:
+Pins the two invariants the batched DSE engine rests on:
 
 * candidate lists are duplicate-free and Pareto-minimal (every triple is
   a "useful" unrolling — dropping it to the next smaller useful value
   would change the ceil-division step count);
-* the batched mapper (``REPRO_BATCHED_MAPPER=on``, the default) returns
-  *identical* mappings to the legacy scalar loops — factors, cycles, and
-  relayout decisions — across workloads, array dims, and fault masks;
-* ``score_candidates_batch`` agrees element-wise with the scalar step
-  formulas.
+* the production mapper returns *identical* mappings to the scalar
+  reference loops in :mod:`tests.oracles` — factors, cycles, and
+  relayout decisions — across workloads, array dims, and fault masks.
+  ``tests/test_oracle_conformance.py`` widens this to seeded networks,
+  edge shapes and both kernel backends.
 """
 
-import numpy as np
 import pytest
 
 from repro.arch import ArchConfig
 from repro.dataflow import map_network
-from repro.dataflow.mapper import (
-    ENV_BATCHED_MAPPER,
-    batched_mapper_enabled,
-    candidate_array,
-    clear_mapping_cache,
-    input_candidates,
-    output_candidates,
-    score_candidates_batch,
-    _input_steps,
-    _output_steps,
-)
+from repro.dataflow.mapper import candidate_array
 from repro.dataflow.rectangular import map_layer_rect
 from repro.dataflow.unrolling import iter_triples, useful_values
-from repro.errors import ConfigurationError, MappingError
+from repro.errors import MappingError
 from repro.faults.model import FaultModel
 from repro.nn import ConvLayer
 from repro.nn.workloads import all_workloads
+
+from tests.oracles import scalar_engine
 
 
 SPACES = [
@@ -90,110 +81,57 @@ class TestCandidateEnumeration:
             candidate_array((3, 5, 5), 16, (0, 5, 5))
 
 
-class TestScoreCandidatesBatch:
-    def test_matches_scalar_steps(self):
-        layer = ConvLayer("c", in_maps=6, out_maps=16, out_size=10, kernel=5)
-        ins = input_candidates(layer, 16)
-        outs = output_candidates(layer, 16)
-        scores = score_candidates_batch(layer, ins, outs)
-        fin = [_input_steps(layer, t) for t in ins]
-        fout = [_output_steps(layer, t) for t in outs]
-        np.testing.assert_array_equal(scores.input_steps, fin)
-        np.testing.assert_array_equal(scores.output_steps, fout)
-        np.testing.assert_array_equal(
-            scores.cycles, np.array(fin)[:, None] * np.array(fout)[None, :]
-        )
-
-    def test_shape_validation(self):
-        layer = ConvLayer("c", in_maps=2, out_maps=2, out_size=4, kernel=2)
-        with pytest.raises(MappingError):
-            score_candidates_batch(layer, [(1, 1)], [(1, 1, 1)])
-
-
 class TestBatchedScalarIdentity:
-    def test_flag_parsing(self, monkeypatch):
-        for value, expected in (
-            ("on", True), ("1", True), ("true", True), ("", True),
-            ("off", False), ("0", False), ("no", False),
-        ):
-            monkeypatch.setenv(ENV_BATCHED_MAPPER, value)
-            assert batched_mapper_enabled() is expected
-        monkeypatch.delenv(ENV_BATCHED_MAPPER)
-        assert batched_mapper_enabled() is True
-        monkeypatch.setenv(ENV_BATCHED_MAPPER, "maybe")
-        with pytest.raises(ConfigurationError):
-            batched_mapper_enabled()
+    """The production mapper vs the scalar oracles, whole results."""
 
     @pytest.mark.parametrize("dim", [8, 16, 32])
-    def test_network_mappings_identical(self, dim, monkeypatch):
-        batched = {}
+    def test_network_mappings_identical(self, dim):
+        with scalar_engine():
+            scalar = {n.name: map_network(n, dim) for n in all_workloads()}
         for network in all_workloads():
-            monkeypatch.setenv(ENV_BATCHED_MAPPER, "on")
-            clear_mapping_cache()
-            batched[network.name] = map_network(network, dim)
-        monkeypatch.setenv(ENV_BATCHED_MAPPER, "off")
-        clear_mapping_cache()
-        for network in all_workloads():
-            scalar = map_network(network, dim)
-            fast = batched[network.name]
-            assert fast.total_cycles == scalar.total_cycles
-            for lm_fast, lm_scalar in zip(fast.layers, scalar.layers):
+            fast = map_network(network, dim)
+            assert fast.total_cycles == scalar[network.name].total_cycles
+            for lm_fast, lm_scalar in zip(fast.layers, scalar[network.name].layers):
                 assert lm_fast.factors == lm_scalar.factors
                 assert lm_fast.coupled == lm_scalar.coupled
                 assert lm_fast.compute_cycles == lm_scalar.compute_cycles
-        clear_mapping_cache()
 
-    def test_fault_masked_mappings_identical(self, monkeypatch):
+    def test_fault_masked_mappings_identical(self):
         mask = FaultModel(seed=7, dead_pe_rate=0.05, dead_rows=(3,)).mask_for(16)
-        results = {}
-        for flag in ("on", "off"):
-            monkeypatch.setenv(ENV_BATCHED_MAPPER, flag)
-            clear_mapping_cache()
-            results[flag] = {
-                network.name: map_network(network, 16, mask=mask)
-                for network in all_workloads()
+        with scalar_engine():
+            scalar = {
+                n.name: map_network(n, 16, mask=mask) for n in all_workloads()
             }
-        clear_mapping_cache()
-        for name, fast in results["on"].items():
-            scalar = results["off"][name]
-            assert fast.total_cycles == scalar.total_cycles
+        for network in all_workloads():
+            fast = map_network(network, 16, mask=mask)
+            assert fast.total_cycles == scalar[network.name].total_cycles
             assert [lm.factors for lm in fast.layers] == [
-                lm.factors for lm in scalar.layers
+                lm.factors for lm in scalar[network.name].layers
             ]
 
-    def test_rectangular_identical(self, monkeypatch):
+    def test_rectangular_identical(self):
         layers = [
             ConvLayer("a", in_maps=3, out_maps=12, out_size=14, kernel=5),
             ConvLayer("b", in_maps=16, out_maps=16, out_size=10, kernel=3),
             ConvLayer("c", in_maps=1, out_maps=4, out_size=24, kernel=7),
         ]
         shapes = [(4, 64), (16, 16), (64, 4), (8, 32)]
-        per_flag = {}
-        for flag in ("on", "off"):
-            monkeypatch.setenv(ENV_BATCHED_MAPPER, flag)
-            clear_mapping_cache()
-            per_flag[flag] = [
-                map_layer_rect(layer, rows, cols)
-                for layer in layers
-                for rows, cols in shapes
-            ]
-        clear_mapping_cache()
-        for fast, scalar in zip(per_flag["on"], per_flag["off"]):
-            assert fast.factors == scalar.factors
-            assert fast.compute_cycles == scalar.compute_cycles
+        points = [(layer, rows, cols) for layer in layers for rows, cols in shapes]
+        with scalar_engine():
+            scalar = [map_layer_rect(layer, r, c) for layer, r, c in points]
+        for (layer, rows, cols), ref in zip(points, scalar):
+            fast = map_layer_rect(layer, rows, cols)
+            assert fast.factors == ref.factors
+            assert fast.compute_cycles == ref.compute_cycles
 
-    def test_simulation_results_identical(self, monkeypatch, tmp_path):
+    def test_simulation_results_identical(self):
         """End-to-end: full NetworkResult equality under both engines."""
         from repro.accelerators import make_accelerator
 
-        monkeypatch.setenv("REPRO_CACHE", "off")
         network = next(iter(all_workloads()))
-        config = ArchConfig()
-        outcomes = {}
-        for flag in ("on", "off"):
-            monkeypatch.setenv(ENV_BATCHED_MAPPER, flag)
-            clear_mapping_cache()
-            acc = make_accelerator("flexflow", config)
-            outcomes[flag] = acc.simulate_network(network)
-        clear_mapping_cache()
-        assert outcomes["on"] == outcomes["off"]
+        with scalar_engine():
+            scalar = make_accelerator("flexflow", ArchConfig()).simulate_network(
+                network
+            )
+        fast = make_accelerator("flexflow", ArchConfig()).simulate_network(network)
+        assert fast == scalar

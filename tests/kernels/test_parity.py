@@ -1,4 +1,4 @@
-"""Bit-identity of the compiled kernel backends against NumPy references.
+"""Bit-identity of the compiled kernel backend against NumPy references.
 
 Every kernel in :mod:`repro.kernels` is an integer-exact port of the
 NumPy/scalar expression it replaces, so parity here is ``==`` — not
@@ -6,13 +6,12 @@ NumPy/scalar expression it replaces, so parity here is ``==`` — not
 hypothesis-generated inputs against an independent plain-Python
 reference (translated from the documented semantics, not from the
 backend source); the end-to-end tests force ``REPRO_KERNELS`` and check
-that mapper, batched simulator, and fault-retention results are
-identical under every available backend.
+that mapper and fault-retention results are identical under both
+backends.
 
-Backends the machine cannot load are skipped, never failed: the numba
-leg skips when numba is not installed, the cext leg when no C compiler
-is present — the CI matrix runs both a numba-equipped leg and a bare leg
-so each combination stays covered somewhere.
+The C backend is skipped, never failed, when the machine has no C
+compiler — the CI matrix runs a cext leg and a bare NumPy leg so each
+combination stays covered somewhere.
 """
 
 import itertools
@@ -26,19 +25,12 @@ from repro.dataflow import map_network
 from repro.dataflow.mapper import clear_mapping_cache
 from repro.kernels import ENV_KERNELS, reset_kernels
 from repro.kernels import cext as cext_mod
-from repro.kernels import numba_backend
 from repro.nn.workloads import all_workloads
 
-BACKENDS = ("cext", "numba")
+BACKENDS = ("cext",)
 
 
 def _load_suite(name):
-    if name == "numba":
-        if not numba_backend.AVAILABLE:
-            pytest.skip("numba is not installed")
-        suite = numba_backend.load()
-        numba_backend.warm_up(suite)
-        return suite
     try:
         suite, _ = cext_mod.load()
     except cext_mod.KernelBuildError as exc:
@@ -77,16 +69,6 @@ sorted_values = st.lists(
     unique=True,
 ).map(sorted)
 
-triples = st.tuples(
-    st.integers(min_value=1, max_value=9),
-    st.integers(min_value=1, max_value=9),
-    st.integers(min_value=1, max_value=9),
-)
-
-
-def _cdiv(a, b):
-    return -(-a // b)
-
 
 @settings(max_examples=40, deadline=None)
 @given(sorted_values, sorted_values, sorted_values,
@@ -101,84 +83,6 @@ def test_enumerate_triples_matches_reference(suite, a, b, c, limit):
         np.asarray(a), np.asarray(b), np.asarray(c), limit
     )
     assert got.tolist() == [list(t) for t in expected]
-
-
-@settings(max_examples=40, deadline=None)
-@given(triples, st.lists(triples, min_size=1, max_size=6),
-       triples, st.lists(triples, min_size=1, max_size=6))
-def test_pair_cycles_matches_reference(suite, dims_in, ins, dims_out, outs):
-    fin, fout, cycles = suite.pair_cycles(
-        dims_in, np.asarray(ins), dims_out, np.asarray(outs)
-    )
-    ref_fin = [
-        _cdiv(dims_in[0], t[0]) * _cdiv(dims_in[1], t[1])
-        * _cdiv(dims_in[2], t[2])
-        for t in ins
-    ]
-    ref_fout = [
-        _cdiv(dims_out[0], t[0]) * _cdiv(dims_out[1], t[1])
-        * _cdiv(dims_out[2], t[2])
-        for t in outs
-    ]
-    assert fin.tolist() == ref_fin
-    assert fout.tolist() == ref_fout
-    assert cycles.tolist() == [
-        [fi * fo for fo in ref_fout] for fi in ref_fin
-    ]
-
-
-def _ceil_pos(extent, step):
-    return 0 if extent <= 0 else _cdiv(extent, step)
-
-
-def _ref_store_sums(n_total, k_total, s_total, m_total,
-                    tn, ti, tj, tr, tc, cap):
-    sum_nat = cnt_nat = 0
-    for dr in range(tr):
-        for dc in range(tc):
-            nat = (_ceil_pos(s_total - dr, tr)
-                   * _ceil_pos(s_total - dc, tc))
-            sum_nat += nat
-            cnt_nat += min(nat, 1)
-    n_spatial = _cdiv(s_total, tr) * _cdiv(s_total, tc)
-    bus = miss = 0
-    for dn in range(tn):
-        for di in range(ti):
-            for dj in range(tj):
-                loads = (_ceil_pos(n_total - dn, tn)
-                         * _ceil_pos(k_total - di, ti)
-                         * _ceil_pos(k_total - dj, tj))
-                if loads > cap:
-                    bus += loads * n_spatial
-                    miss += loads * sum_nat
-                else:
-                    bus += loads
-                    miss += loads * cnt_nat
-    return m_total * bus, m_total * miss
-
-
-store_cases = st.tuples(
-    st.integers(min_value=1, max_value=8),   # n_total
-    st.integers(min_value=1, max_value=6),   # k_total
-    st.integers(min_value=1, max_value=10),  # s_total
-    st.integers(min_value=1, max_value=8),   # m_total
-    st.integers(min_value=1, max_value=3),   # tn
-    st.integers(min_value=1, max_value=3),   # ti
-    st.integers(min_value=1, max_value=3),   # tj
-    st.integers(min_value=1, max_value=3),   # tr
-    st.integers(min_value=1, max_value=3),   # tc
-    st.integers(min_value=0, max_value=40),  # cap
-)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(store_cases, min_size=1, max_size=8))
-def test_flexflow_store_sums_matches_reference(suite, cases):
-    columns = [np.asarray(col) for col in zip(*cases)]
-    bus, misses = suite.flexflow_store_sums(*columns)
-    expected = [_ref_store_sums(*case) for case in cases]
-    assert bus.tolist() == [e[0] for e in expected]
-    assert misses.tolist() == [e[1] for e in expected]
 
 
 @settings(max_examples=40, deadline=None)
@@ -222,33 +126,6 @@ class TestEndToEnd:
                 assert lm_fast.coupled == lm_ref.coupled
                 assert lm_fast.compute_cycles == lm_ref.compute_cycles
 
-    def test_batched_traces_identical(self, forced_backend, monkeypatch):
-        from repro.dataflow import map_layer
-        from repro.sim.batch import batch_flexflow_traces
-
-        network = next(iter(all_workloads()))
-        layers = [ctx.layer for ctx in network.conv_contexts()]
-        factors = [
-            map_layer(ctx.layer, 16, tr_tc_bound=ctx.tr_tc_bound).factors
-            for ctx in network.conv_contexts()
-        ]
-
-        def run():
-            return batch_flexflow_traces(
-                layers, factors,
-                neuron_store_words=4096, kernel_store_words=512,
-            )
-
-        import dataclasses
-
-        compiled = run()
-        _force_numpy(monkeypatch)
-        reference = run()
-        for field in dataclasses.fields(compiled):
-            fast = getattr(compiled, field.name)
-            ref = getattr(reference, field.name)
-            assert fast.tolist() == ref.tolist(), field.name
-
     def test_fault_retention_identical(self, forced_backend, monkeypatch):
         from repro.faults.impact import systolic_retention, tiling_retention
         from repro.faults.model import FaultModel
@@ -274,16 +151,30 @@ class TestEndToEnd:
 
 
 def test_unavailable_backend_is_clear_error(monkeypatch):
-    """Explicitly requesting a missing backend must not fall back."""
+    """A backend that no longer exists is rejected, naming the valid ones."""
     from repro.errors import ConfigurationError
     from repro.kernels import active_kernels
 
-    if numba_backend.AVAILABLE:
-        pytest.skip("numba installed; nothing is unavailable to request")
     monkeypatch.setenv(ENV_KERNELS, "numba")
     reset_kernels()
     try:
-        with pytest.raises(ConfigurationError, match="numba"):
+        with pytest.raises(ConfigurationError, match="auto, cext, numpy"):
+            active_kernels()
+    finally:
+        reset_kernels()
+
+
+def test_missing_compiler_is_clear_error(monkeypatch, tmp_path):
+    """Explicitly requesting cext without a compiler must not fall back."""
+    from repro.errors import ConfigurationError
+    from repro.kernels import active_kernels
+
+    monkeypatch.setenv("CC", str(tmp_path / "no-such-cc"))
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setenv(ENV_KERNELS, "cext")
+    reset_kernels()
+    try:
+        with pytest.raises(ConfigurationError, match="no C compiler"):
             active_kernels()
     finally:
         reset_kernels()

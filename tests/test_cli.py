@@ -363,23 +363,30 @@ class TestDseCommand:
         assert [line.rstrip() for line in out.strip().splitlines()] == self.GOLDEN_PV
 
     def test_scalar_engine_rows_identical(self, capsys):
-        assert main(["dse", "PV", "--dims", "8,16", "--engine", "scalar"]) == 0
+        """The scalar oracle mapper prints the golden table too."""
+        from tests.oracles import scalar_engine
+
+        with scalar_engine():
+            assert main(["dse", "PV", "--dims", "8,16"]) == 0
         out = capsys.readouterr().out
         lines = [line.rstrip() for line in out.strip().splitlines()]
-        assert lines[0] == (
-            "== dse: FlexFlow array-scale sweep (scalar candidate scoring) =="
-        )
-        assert lines[1:] == self.GOLDEN_PV[1:]
+        assert lines == self.GOLDEN_PV
 
     def test_engine_flag_does_not_leak(self, capsys):
+        """``--kernels`` picks the engine for one run only."""
         import os
 
-        from repro.dataflow.mapper import ENV_BATCHED_MAPPER
+        from repro.kernels import ENV_KERNELS
 
-        before = os.environ.get(ENV_BATCHED_MAPPER)
-        assert main(["dse", "PV", "--dims", "8", "--engine", "scalar"]) == 0
+        before = os.environ.get(ENV_KERNELS)
+        assert main(["dse", "PV", "--dims", "8", "--kernels", "numpy"]) == 0
         capsys.readouterr()
-        assert os.environ.get(ENV_BATCHED_MAPPER) == before
+        assert os.environ.get(ENV_KERNELS) == before
+
+    def test_removed_engine_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["dse", "PV", "--engine", "scalar"])
+        assert "--engine" in capsys.readouterr().err
 
     def test_all_workloads(self, capsys):
         assert main(["dse", "all", "--dims", "8"]) == 0
@@ -423,10 +430,13 @@ class TestDseCommand:
         assert "speedup vs best fixed" in out
 
     def test_per_layer_engines_agree(self, capsys):
-        assert main(["dse", "PV", "--per-layer", "--engine", "batched"]) == 0
-        batched = capsys.readouterr().out
-        assert main(["dse", "PV", "--per-layer", "--engine", "scalar"]) == 0
-        assert capsys.readouterr().out == batched
+        from tests.oracles import scalar_engine
+
+        assert main(["dse", "PV", "--per-layer", "--kernels", "numpy"]) == 0
+        numpy_plan = capsys.readouterr().out
+        with scalar_engine():
+            assert main(["dse", "PV", "--per-layer"]) == 0
+        assert capsys.readouterr().out == numpy_plan
 
     def test_per_layer_respects_dims(self, capsys):
         assert main(["dse", "PV", "--per-layer", "--dims", "8"]) == 0

@@ -173,3 +173,45 @@ def test_doctest_coverage_list_is_current():
     }
     missing = with_examples - set(DOCTEST_FILES)
     assert not missing, f"add {sorted(missing)} to DOCTEST_FILES"
+
+
+_ENV_ROW = re.compile(r"^\|\s*`(REPRO_[A-Z0-9_]+)`\s*\|", re.MULTILINE)
+_ENV_NAME = re.compile(r"REPRO_[A-Z0-9_]+")
+
+
+def _env_names_read_in_src():
+    """``REPRO_*`` names appearing as string constants in ``src/``."""
+    import ast
+
+    names = set()
+    for path in (REPO_ROOT / "src").rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if _ENV_NAME.fullmatch(node.value):
+                    names.add(node.value)
+    return names
+
+
+def _env_names_in_doc_tables():
+    docs = [REPO_ROOT / "README.md", *(REPO_ROOT / "docs").glob("*.md")]
+    return {
+        name
+        for path in docs
+        for name in _ENV_ROW.findall(path.read_text(encoding="utf-8"))
+    }
+
+
+def test_env_knob_tables_match_src():
+    """Every ``REPRO_*`` knob is documented, and every documented one is live."""
+    read = _env_names_read_in_src()
+    documented = _env_names_in_doc_tables()
+    assert read, "no REPRO_* names found in src/"
+    assert not read - documented, (
+        f"REPRO_* variables read in src/ but missing from a docs env table:"
+        f" {sorted(read - documented)}"
+    )
+    assert not documented - read, (
+        f"docs env tables list REPRO_* variables src/ never reads:"
+        f" {sorted(documented - read)}"
+    )
