@@ -320,7 +320,7 @@ def analytic_mapping2d_trace(layer: ConvLayer, block_size: int) -> SimTrace:
     for rows, row_mult in shapes:
         for cols, col_mult in shapes:
             blocks = m_total * row_mult * col_mult
-            runs = blocks * n_total  # one _run_block per input map
+            runs = blocks * n_total  # one window schedule per (m, block, n)
             reused = (rows - 1) * max(0, cols - (k - 1))
             trace.cycles += runs * k * k
             trace.kernel_buffer_reads += runs * k * k

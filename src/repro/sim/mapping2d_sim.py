@@ -12,6 +12,15 @@ are counted as buffer reads and whose shifts as FIFO traffic.
 
 A block therefore takes exactly ``K^2`` cycles per input map, matching the
 analytical model; numerics are validated against the golden convolution.
+Each cycle the simulator checks that every PE holds the neuron its
+output needs, so a wrong shift or reload fails loudly.
+
+The window schedule depends only on the block and the input map ``n``,
+never on the output map, so each ``(block, n)`` schedule runs once and
+its synapse broadcast multiplies the window into an ``(M, rows, cols)``
+partial-sum stack — one layer of PEs per output map.  Every counter is
+the one-map observation times ``M``; the window-alignment check runs on
+the single schedule.
 """
 
 from __future__ import annotations
@@ -56,28 +65,28 @@ class Mapping2DFunctionalSim:
             )
         padded = pad_input(inputs, layer.padding)
         block = self.block_size
-        out = np.zeros((layer.out_maps, layer.out_size, layer.out_size))
+        maps = layer.out_maps
+        out = np.zeros((maps, layer.out_size, layer.out_size))
         trace = SimTrace()
         tracer = self.tracer if self.tracer is not None else current_tracer()
         with tracer.span(
             f"conv:{layer.name}", category="sim.mapping2d"
         ) as span:
-            for m in range(layer.out_maps):
-                for r0 in range(0, layer.out_size, block):
-                    for c0 in range(0, layer.out_size, block):
-                        rows = min(block, layer.out_size - r0)
-                        cols = min(block, layer.out_size - c0)
-                        psum = np.zeros((rows, cols))
-                        for n in range(layer.in_maps):
-                            self._run_block(
-                                padded[n],
-                                kernels[m, n],
-                                psum,
-                                (r0, c0),
-                                trace,
-                            )
-                        out[m, r0:r0 + rows, c0:c0 + cols] = psum
-                        trace.neuron_buffer_writes += rows * cols
+            for r0 in range(0, layer.out_size, block):
+                for c0 in range(0, layer.out_size, block):
+                    rows = min(block, layer.out_size - r0)
+                    cols = min(block, layer.out_size - c0)
+                    psum = np.zeros((maps, rows, cols))
+                    for n in range(layer.in_maps):
+                        self._run_block(
+                            padded[n],
+                            kernels[:, n],
+                            psum,
+                            (r0, c0),
+                            trace,
+                        )
+                    out[:, r0:r0 + rows, c0:c0 + cols] = psum
+                    trace.neuron_buffer_writes += maps * rows * cols
             if tracer.enabled:
                 span.set_cycles(trace.cycles)
                 span.add_counters(trace.as_dict())
@@ -86,35 +95,37 @@ class Mapping2DFunctionalSim:
     def _run_block(
         self,
         image: np.ndarray,
-        kernel: np.ndarray,
+        kernels: np.ndarray,
         psum: np.ndarray,
         origin: Tuple[int, int],
         trace: SimTrace,
     ) -> None:
-        k = kernel.shape[0]
-        rows, cols = psum.shape
+        """One block's ``K^2``-cycle schedule over input map ``image``,
+        shared by every output map of ``kernels`` (shape ``(M, K, K)``)."""
+        maps, k = kernels.shape[0], kernels.shape[-1]
+        _, rows, cols = psum.shape
         r0, c0 = origin
         # The neuron window currently held by the array: window[p, q] is
         # the neuron PE (p, q) will multiply this cycle.
         window: Optional[np.ndarray] = None
         for i in range(k):
             for j in range(k):
-                trace.cycles += 1
-                trace.kernel_buffer_reads += 1  # synapse broadcast
-                trace.bus_transfers += 1
+                trace.cycles += maps
+                trace.kernel_buffer_reads += maps  # synapse broadcast
+                trace.bus_transfers += maps
                 if window is None:
                     # Initial load: the whole (rows x cols) window.
                     window = image[r0 + i:r0 + i + rows, c0 + j:c0 + j + cols].copy()
-                    trace.neuron_buffer_reads += rows * cols
+                    trace.neuron_buffer_reads += maps * rows * cols
                 elif j > 0:
                     # Shift left: PEs take their right neighbour's neuron;
                     # the rightmost column loads fresh neurons.
                     window[:, :-1] = window[:, 1:]
-                    trace.fifo_accesses += 2 * rows * (cols - 1)
+                    trace.fifo_accesses += maps * 2 * rows * (cols - 1)
                     window[:, -1] = image[
                         r0 + i:r0 + i + rows, c0 + j + cols - 1
                     ]
-                    trace.neuron_buffer_reads += rows
+                    trace.neuron_buffer_reads += maps * rows
                 else:
                     # Kernel-row boundary: the window moves one row down in
                     # the image and rewinds K-1 columns.  The overlap with
@@ -125,18 +136,21 @@ class Mapping2DFunctionalSim:
                     overlap_rows = rows - 1
                     overlap_cols = max(0, cols - (k - 1))
                     reused = overlap_rows * overlap_cols
-                    trace.fifo_accesses += 2 * reused
-                    trace.neuron_buffer_reads += rows * cols - reused
+                    trace.fifo_accesses += maps * 2 * reused
+                    trace.neuron_buffer_reads += maps * (rows * cols - reused)
                     window = image[
                         r0 + i:r0 + i + rows, c0:c0 + cols
                     ].copy()
-                sample = window[0, 0]
-                expected = image[r0 + i, c0 + j]
-                if sample != expected:
+                # Every PE must hold its own neuron, not just PE (0, 0):
+                # over zero padding one sample cannot tell windows apart.
+                expected = image[r0 + i:r0 + i + rows, c0 + j:c0 + j + cols]
+                if not np.array_equal(window, expected):
+                    p, q = np.argwhere(window != expected)[0]
                     raise SimulationError(
                         f"window misaligned at kernel ({i},{j}):"
-                        f" PE(0,0) holds {sample}, expected {expected}"
+                        f" PE({p},{q}) holds {window[p, q]},"
+                        f" expected {expected[p, q]}"
                     )
-                psum += window * kernel[i, j]
-                trace.mac_ops += rows * cols
-                trace.register_accesses += 2 * rows * cols
+                psum += window * kernels[:, i, j, np.newaxis, np.newaxis]
+                trace.mac_ops += maps * rows * cols
+                trace.register_accesses += maps * 2 * rows * cols

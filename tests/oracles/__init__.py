@@ -7,7 +7,9 @@ switches:
 * :mod:`tests.oracles.mapper` — the scalar single-layer picks and the
   whole-network coupling DP of the Section 5 mapper;
 * :mod:`tests.oracles.perlayer` — the full-candidate per-layer dataflow
-  DP and its extern cycle table.
+  DP and its extern cycle table;
+* :mod:`tests.oracles.baseline_sims` — the Systolic, 2D-Mapping and
+  Tiling functional simulators as literal per-pair / per-position loops.
 
 :func:`scalar_engine` runs the production entry points (``map_layer``,
 ``map_network``, ``map_layer_rect``, ``solve_per_layer``) on these
