@@ -587,7 +587,7 @@ def check(baseline_path: Path, tolerance: float) -> int:
     # the vectorized search silently degrading toward scalar speed.
     # serve.warm_over_cold_throughput shares sweep.warm's shape — a
     # sub-millisecond cached path over a compute-bound cold path — so it
-    # gets the same 75% band; a broken serve cache or coalescer drags
+    # gets the same 75% band; a broken serve cache or in-flight table drags
     # the ratio to ~1x, far below any plausible floor.
     checked_metrics = (
         ("headline", "speedup_median", None),

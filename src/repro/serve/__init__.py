@@ -10,8 +10,9 @@ array-scale DSE sweep behind a small stdlib-only HTTP API (see
   cache entries);
 * :mod:`repro.serve.compute` — the pure execution functions worker
   processes run;
-* :mod:`repro.serve.coalescer` — dedup of identical in-flight requests
-  onto a single backend computation;
+* :mod:`repro.serve.batcher` — the one in-flight table for cache-missed
+  requests: identical ones attach to a single leader computation,
+  compatible ones fuse into one pool dispatch;
 * :mod:`repro.serve.pool` — a ``spawn`` worker pool supervised under the
   resilient runner's :class:`~repro.experiments.runner.RunPolicy`
   (timeout / retries / non-blocking backoff);
@@ -23,12 +24,10 @@ array-scale DSE sweep behind a small stdlib-only HTTP API (see
 """
 
 from repro.serve.app import ServeApp
-from repro.serve.coalescer import Coalescer
 from repro.serve.pool import WorkerPool
 from repro.serve.schemas import ComputeRequest, parse_request
 
 __all__ = [
-    "Coalescer",
     "ComputeRequest",
     "ServeApp",
     "WorkerPool",

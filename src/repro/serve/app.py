@@ -1,4 +1,4 @@
-"""The asyncio HTTP service: routing, coalescing, SSE progress, metrics.
+"""The asyncio HTTP service: routing, SSE progress, metrics.
 
 Stdlib only: a deliberately small HTTP/1.1 server on ``asyncio`` streams
 (keep-alive supported, bodies bounded, malformed input answered with
@@ -18,11 +18,13 @@ JSON errors).  Endpoints:
 
 Request flow for a computation: validate → admission control (shed with
 a fast 503 + ``Retry-After`` when the pending budget for the kind is
-exhausted, or while draining) → coalesce on the content-addressed key
-(one leader, N waiters) → leader probes the persistent ``serve`` cache
-section → on miss, pass the circuit breaker (open = fast 503) and
-compute in the worker pool under the run policy → publish to the cache →
-resolve every waiter.  See ``docs/RESILIENCE.md``.
+exhausted, or while draining) → one call into the in-flight table
+(:mod:`repro.serve.batcher`): identical callers attach to the key's
+leader; the leader probes the persistent ``serve`` cache section, on a
+miss passes the circuit breaker (open = fast 503) and computes in the
+worker pool under the run policy — fused with compatible leaders when
+its kind batches — then publishes to the cache and resolves every
+attached caller.  See ``docs/RESILIENCE.md``.
 """
 
 from __future__ import annotations
@@ -40,10 +42,8 @@ from repro.cache import active_cache
 from repro.cache.memtier import payload_digest
 from repro.errors import ConfigurationError, ReproError, SpecificationError
 from repro.experiments.runner import RunPolicy
-from repro.obs.events import event_record
 from repro.obs.metrics import REGISTRY
 from repro.serve.batcher import BatchPolicy, BatchScheduler
-from repro.serve.coalescer import Coalescer
 from repro.serve.pool import ProgressSink, WorkerPool, _noop_sink
 from repro.serve.resilience import (
     CircuitOpenError,
@@ -89,7 +89,7 @@ def _swallow_outcome(task: "asyncio.Task") -> None:
 
 
 class ServeApp:
-    """One service instance: coalescer + worker pool + HTTP handlers."""
+    """One service instance: in-flight table + worker pool + HTTP handlers."""
 
     def __init__(
         self,
@@ -99,14 +99,13 @@ class ServeApp:
         resilience: Optional[ResiliencePolicy] = None,
         batching: Optional[BatchPolicy] = None,
     ) -> None:
-        self.coalescer = Coalescer()
         self.resilience = ServeResilience(resilience or ResiliencePolicy())
         self.pool = WorkerPool(
             policy, jobs=jobs,
             grace_factor=self.resilience.policy.grace_factor,
         )
         self.batcher = BatchScheduler(
-            batching or BatchPolicy(), self._dispatch
+            batching or BatchPolicy(), self.pool.run, self.resilience.breaker
         )
         # Raw body bytes -> (kind, serve key, payload digest, response
         # body bytes): the warm fast path.  Event-loop-only access.
@@ -170,76 +169,9 @@ class ServeApp:
         REGISTRY.counter("serve.requests", kind=request.kind).inc()
         self.resilience.enter(request.kind)  # shed/draining raise here
         try:
-            return await self._serve_admitted(request, progress)
+            return await self.batcher.submit(request, progress)
         finally:
             self.resilience.exit(request.kind)
-
-    async def _dispatch(
-        self, request: ComputeRequest, progress: ProgressSink
-    ) -> Dict[str, Any]:
-        """One actual pool execution (singleton or fused batch).
-
-        This is the only path that bumps ``serve.backend_computations``,
-        so the counter measures real backend dispatches: N coalesced
-        waiters count once, and K batched requests count once under
-        ``kind="batch"``.
-        """
-        REGISTRY.counter(
-            "serve.backend_computations", kind=request.kind
-        ).inc()
-        progress(
-            event_record("scheduled", "serve", {"label": request.label})
-        )
-        return await self.pool.run(request, progress)
-
-    async def _serve_admitted(
-        self, request: ComputeRequest, progress: ProgressSink
-    ) -> Dict[str, Any]:
-        async def leader() -> Dict[str, Any]:
-            cache = active_cache()
-            if cache is not None:
-                stored = cache.get("serve", request.key)
-                if stored is not None:
-                    REGISTRY.counter("serve.results", source="cache").inc()
-                    progress(
-                        event_record("cache-hit", "serve",
-                                     {"key": request.key})
-                    )
-                    return {"source": "cache", "result": stored, "spans": []}
-            # The breaker gates backend computations only — cache hits
-            # stay served while a failing backend cools off.  Each
-            # member of a fused batch passes (and scores) its own kind's
-            # breaker, so batching never launders backend failures.
-            breaker = self.resilience.breaker(request.kind)
-            breaker.acquire()
-            try:
-                envelope = await self.batcher.submit(request, progress)
-            except asyncio.CancelledError:
-                breaker.abort()  # no verdict from a cancelled attempt
-                raise
-            except Exception:
-                breaker.record_failure()
-                raise
-            breaker.record_success()
-            if cache is not None:
-                # Every point lands under its own content-addressed key
-                # — batched or not — so future singletons still hit.
-                # Deferred: the publish IO runs on the cache's flush
-                # thread, not the event loop (the memory tier makes the
-                # entry visible to this process immediately).
-                with cache.deferred():
-                    cache.put("serve", request.key, envelope["result"])
-            REGISTRY.counter("serve.results", source="computed").inc()
-            return {"source": "computed", **envelope}
-
-        payload, coalesced = await self.coalescer.get_or_compute(
-            request.key, leader, kind=request.kind
-        )
-        response = {"kind": request.kind, "key": request.key, **payload}
-        if coalesced:
-            REGISTRY.counter("serve.results", source="coalesced").inc()
-            response["source"] = "coalesced"
-        return response
 
     async def _serve_sweep(self, body: Any) -> Dict[str, Any]:
         requests = parse_sweep(body)
@@ -315,7 +247,12 @@ class ServeApp:
         method, target = parts[0], parts[1]
         headers: Dict[str, str] = {}
         for _ in range(MAX_HEADERS + 1):
-            raw = await reader.readuntil(b"\n")
+            try:
+                raw = await reader.readuntil(b"\n")
+            except asyncio.IncompleteReadError as exc:
+                raise _HttpError(400, "truncated headers") from exc
+            except asyncio.LimitOverrunError as exc:
+                raise _HttpError(400, "header line too long") from exc
             if raw in (b"\r\n", b"\n"):
                 break
             name, sep, value = raw.decode("latin-1").partition(":")
@@ -328,9 +265,16 @@ class ServeApp:
             length = int(headers.get("content-length", "0"))
         except ValueError:
             raise _HttpError(400, "bad Content-Length") from None
-        if length < 0 or length > MAX_BODY:
+        if length < 0:
+            raise _HttpError(400, "bad Content-Length")
+        if length > MAX_BODY:
             raise _HttpError(413, f"body exceeds {MAX_BODY} bytes")
-        body = await reader.readexactly(length) if length else b""
+        try:
+            body = await reader.readexactly(length) if length else b""
+        except asyncio.IncompleteReadError as exc:
+            raise _HttpError(
+                400, f"truncated body: {len(exc.partial)} of {length} bytes"
+            ) from exc
         path, _, query_string = target.partition("?")
         return method, path, parse_qs(query_string), headers, body
 
@@ -481,6 +425,8 @@ class ServeApp:
             return json.loads(body.decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as exc:
             raise _HttpError(400, f"body is not valid JSON: {exc}") from exc
+        except RecursionError:  # nested past the interpreter's limit
+            raise _HttpError(400, "body is nested too deeply") from None
 
     @classmethod
     async def _write_json(

@@ -1,31 +1,32 @@
-"""Cross-request dynamic batching: fuse compatible cold requests.
+"""The serve path's one in-flight table: dedup identical, fuse compatible.
 
-The :class:`~repro.serve.coalescer.Coalescer` collapses *identical*
-in-flight requests; this scheduler generalizes it to *compatible* ones —
-same kind and network (and arch), different dims/grid points, exactly
-the axes :func:`repro.experiments.common.evaluate_sweep` consumes in one
-shot.  A cold request that misses the cache
-parks in a pending batch for up to ``window_ms``; requests arriving
-inside the window join it, and when the window closes (or the batch
-reaches ``max_batch`` members) the whole group ships to the worker pool
-as ONE fused ``batch`` task.  The worker evaluates the union of the
-members' points once and rebuilds every member's singleton payload
-(:func:`repro.serve.compute._exec_batch`), which the scheduler fans back
-to each waiter.  Each member's own serve-path leader then publishes its
-point to the content-addressed cache individually, so future singleton
-requests still hit.
+Every admitted request the hot path did not answer makes one call,
+:meth:`BatchScheduler.submit`:
 
-Failure containment: the fused dispatch runs under the worker pool's
-full retry/timeout policy, so a batch-leader crash (chaos
-``worker_crash``) is usually retried invisibly.  If the fused dispatch
-exhausts its attempts anyway, the scheduler *fails over* to per-member
-singleton dispatches (``serve.batch_failovers``) — a poisoned or
-unlucky batch degrades to the unbatched path instead of failing every
-waiter.
+* **Identical requests** share a content-addressed ``request.key``.  The
+  first caller for a key is its *leader*: it probes the persistent
+  ``serve`` cache section, passes its kind's circuit breaker, runs the
+  work and publishes the result.  Identical callers arriving meanwhile
+  attach to the scheduler's future for the key — N identical concurrent
+  cold requests cost one cache probe and one computation.  A leader's
+  failure fails every attached caller; cancelling an attached caller
+  never cancels the leader.
+* **Compatible requests** — distinct keys with the same kind and network
+  (and arch), i.e. the axes :func:`repro.experiments.common.evaluate_sweep`
+  spans in one shot — are leaders whose cache misses park in a pending
+  batch for up to ``window_ms`` (or until ``max_batch`` members) and
+  then ship to the pool as ONE fused ``batch`` task.  The worker
+  rebuilds every member's singleton payload
+  (:func:`repro.serve.compute._exec_batch`) and each leader publishes
+  its own point, so future singleton requests still hit.  If the fused
+  dispatch exhausts the pool's retry policy, the scheduler fails over to
+  per-member singleton dispatches (``serve.batch_failovers``).
 
-Counters: ``serve.batches`` (fused dispatches), ``serve.batched{kind}``
-(requests served via a fused dispatch), ``serve.batch_failovers``, plus
-the ``serve.batch_size`` histogram.
+Counters: ``serve.coalesced{kind}``, the ``serve.inflight`` gauge (keys
+with a leader in flight), ``serve.results{source}``,
+``serve.backend_computations{kind}`` (real pool dispatches),
+``serve.batches``, ``serve.batched{kind}``, ``serve.batch_failovers``
+and the ``serve.batch_size`` histogram.
 """
 
 from __future__ import annotations
@@ -34,9 +35,11 @@ import asyncio
 from dataclasses import dataclass
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
-from repro.cache import hash_payload
+from repro.cache import active_cache, hash_payload
+from repro.obs.events import event_record
 from repro.obs.metrics import REGISTRY
 from repro.serve.pool import ProgressSink
+from repro.serve.resilience import CircuitBreaker
 from repro.serve.schemas import ComputeRequest
 
 #: Kinds whose requests can fuse: their specs differ only along axes one
@@ -44,8 +47,8 @@ from repro.serve.schemas import ComputeRequest
 #: per-network searches with no shared sweep axis, so they stay singleton.
 BATCHABLE_KINDS = frozenset({"dse", "simulate"})
 
-#: An app-level dispatch: one request through breakerless pool execution.
-Dispatch = Callable[[ComputeRequest, ProgressSink], Awaitable[Dict[str, Any]]]
+#: One request through the worker pool, to its worker envelope.
+Run = Callable[[ComputeRequest, ProgressSink], Awaitable[Dict[str, Any]]]
 
 
 @dataclass(frozen=True)
@@ -101,21 +104,99 @@ class _PendingBatch:
 
 
 class BatchScheduler:
-    """Groups compatible cold requests into fused pool dispatches."""
+    """The in-flight table: one leader per key, compatible leaders fused."""
 
-    def __init__(self, policy: BatchPolicy, dispatch: Dispatch) -> None:
+    def __init__(
+        self,
+        policy: BatchPolicy,
+        run: Run,
+        breaker: Callable[[str], CircuitBreaker],
+    ) -> None:
         self.policy = policy
-        self._dispatch = dispatch
+        self._run = run
+        self._breaker = breaker
+        self._inflight: Dict[str, asyncio.Future] = {}
         self._pending: Dict[Tuple[Any, ...], _PendingBatch] = {}
-
-    @property
-    def pending(self) -> int:
-        return sum(len(b.members) for b in self._pending.values())
 
     async def submit(
         self, request: ComputeRequest, progress: ProgressSink
     ) -> Dict[str, Any]:
-        """One cache-missed request to its worker envelope.
+        """One admitted request to its response payload.
+
+        ``{"kind", "key", "source", "result", "spans"}``, where
+        ``source`` is ``cache`` or ``computed`` for a leader and
+        ``coalesced`` for a caller attached to one.
+        """
+        existing = self._inflight.get(request.key)
+        if existing is not None:
+            REGISTRY.counter("serve.coalesced", kind=request.kind).inc()
+            payload = await asyncio.shield(existing)
+            REGISTRY.counter("serve.results", source="coalesced").inc()
+            return {**payload, "source": "coalesced"}
+        future = asyncio.get_running_loop().create_future()
+        self._inflight[request.key] = future
+        REGISTRY.gauge("serve.inflight").set(len(self._inflight))
+        try:
+            payload = await self._lead(request, progress)
+        except BaseException as exc:
+            if isinstance(exc, Exception):
+                future.set_exception(exc)
+                future.exception()  # retrieved: there may be no waiter
+            else:  # cancellation and the like: release waiters cleanly
+                future.cancel()
+            raise
+        else:
+            future.set_result(payload)
+            return dict(payload)  # the caller may edit its own copy
+        finally:
+            del self._inflight[request.key]
+            REGISTRY.gauge("serve.inflight").set(len(self._inflight))
+
+    # -- internals ------------------------------------------------------------
+
+    async def _lead(
+        self, request: ComputeRequest, progress: ProgressSink
+    ) -> Dict[str, Any]:
+        """The leader's work: cache probe, breaker, compute, publish."""
+        head = {"kind": request.kind, "key": request.key}
+        cache = active_cache()
+        if cache is not None:
+            stored = cache.get("serve", request.key)
+            if stored is not None:
+                REGISTRY.counter("serve.results", source="cache").inc()
+                progress(
+                    event_record("cache-hit", "serve", {"key": request.key})
+                )
+                return {**head, "source": "cache", "result": stored,
+                        "spans": []}
+        # The breaker gates backend computations only — cache hits stay
+        # served while a failing backend cools off.
+        breaker = self._breaker(request.kind)
+        breaker.acquire()
+        try:
+            envelope = await self._compute(request, progress)
+        except asyncio.CancelledError:
+            breaker.abort()  # no verdict from a cancelled attempt
+            raise
+        except Exception:
+            breaker.record_failure()
+            raise
+        breaker.record_success()
+        if cache is not None:
+            # Every point lands under its own content-addressed key —
+            # batched or not — so future singletons still hit.  Deferred:
+            # the publish IO runs on the cache's flush thread, not the
+            # event loop (the memory tier makes the entry visible to this
+            # process immediately).
+            with cache.deferred():
+                cache.put("serve", request.key, envelope["result"])
+        REGISTRY.counter("serve.results", source="computed").inc()
+        return {**head, "source": "computed", **envelope}
+
+    async def _compute(
+        self, request: ComputeRequest, progress: ProgressSink
+    ) -> Dict[str, Any]:
+        """A cache-missed leader's worker envelope.
 
         Batchable kinds park in a pending batch; everything else (and
         everything when batching is off) dispatches immediately.
@@ -131,14 +212,32 @@ class BatchScheduler:
             batch.members.append((request, progress, future))
             # The batch's own detached task closes the window; every
             # member (including the first) just awaits its future.
-            asyncio.get_running_loop().create_task(self._lead(key, batch))
+            asyncio.get_running_loop().create_task(
+                self._run_batch(key, batch)
+            )
         else:
             batch.members.append((request, progress, future))
             if len(batch.members) >= self.policy.max_batch:
                 self._seal(key, batch)
         return await future
 
-    # -- internals ------------------------------------------------------------
+    async def _dispatch(
+        self, request: ComputeRequest, progress: ProgressSink
+    ) -> Dict[str, Any]:
+        """One actual pool execution (singleton or fused batch).
+
+        This is the only path that bumps ``serve.backend_computations``,
+        so the counter measures real backend dispatches: N coalesced
+        callers count once, and K batched requests count once under
+        ``kind="batch"``.
+        """
+        REGISTRY.counter(
+            "serve.backend_computations", kind=request.kind
+        ).inc()
+        progress(
+            event_record("scheduled", "serve", {"label": request.label})
+        )
+        return await self._run(request, progress)
 
     def _seal(self, key: Tuple[Any, ...], batch: _PendingBatch) -> None:
         """Close the batch to new members (idempotent, loop-synchronous)."""
@@ -149,7 +248,9 @@ class BatchScheduler:
             del self._pending[key]
         batch.sealed.set()
 
-    async def _lead(self, key: Tuple[Any, ...], batch: _PendingBatch) -> None:
+    async def _run_batch(
+        self, key: Tuple[Any, ...], batch: _PendingBatch
+    ) -> None:
         try:
             await asyncio.wait_for(
                 batch.sealed.wait(), timeout=self.policy.window_ms / 1000.0

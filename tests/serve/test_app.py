@@ -1,6 +1,8 @@
 """End-to-end HTTP tests against an in-process serve instance."""
 
 import json
+import random
+import socket
 import threading
 import time
 
@@ -376,3 +378,156 @@ class TestSubprocessBoot:
             client.close()
             if proc.poll() is None:
                 proc.kill()
+
+
+def raw_exchange(port, payload, *, timeout=5.0):
+    """Send raw bytes, half-close, and return everything the server says."""
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        sock.sendall(payload)
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+def post_bytes(path, body, *, length=None):
+    length = len(body) if length is None else length
+    return (
+        f"POST {path} HTTP/1.1\r\nHost: x\r\n"
+        f"Content-Length: {length}\r\n\r\n"
+    ).encode("latin-1") + body
+
+
+def status_of(response):
+    assert response.startswith(b"HTTP/1.1 "), response[:80]
+    return int(response.split(b" ", 2)[1])
+
+
+class TestHostileFraming:
+    """Malformed framing answers 400 and the server keeps serving."""
+
+    def assert_400_then_alive(self, server, payload, fragment):
+        response = raw_exchange(server.port, payload)
+        assert status_of(response) == 400
+        assert fragment in response
+        client = server.client()
+        try:
+            assert client.get("/healthz")[0] == 200
+        finally:
+            client.close()
+
+    def test_deeply_nested_body_is_400(self, server):
+        self.assert_400_then_alive(
+            server, post_bytes("/v1/simulate", b"[" * 200_000),
+            b"nested too deeply",
+        )
+
+    def test_header_line_over_the_stream_limit_is_400(self, server):
+        payload = (
+            b"POST /v1/map HTTP/1.1\r\nX-Pad: " + b"a" * 70_000
+            + b"\r\nContent-Length: 2\r\n\r\n{}"
+        )
+        self.assert_400_then_alive(server, payload, b"header line too long")
+
+    def test_body_short_of_content_length_is_400(self, server):
+        self.assert_400_then_alive(
+            server, post_bytes("/v1/map", b'{"workload"', length=100),
+            b"truncated body",
+        )
+
+    def test_negative_content_length_is_400(self, server):
+        self.assert_400_then_alive(
+            server, post_bytes("/v1/map", b"", length=-5),
+            b"bad Content-Length",
+        )
+
+
+class TestHostileInputFuzz:
+    """Seeded hostile bodies on every compute route: 4xx or 200, never 5xx.
+
+    Each draw goes over a fresh raw connection with a client timeout, so
+    a hang fails the test as surely as a 5xx does.
+    """
+
+    SEED = 20170204
+    ROUTES = ("/v1/map", "/v1/simulate", "/v1/dse", "/v1/dse_per_layer")
+    FIELDS = (
+        "workload", "network", "dim", "dims", "arch", "reconfig_scale", "kind",
+    )
+    WRONG_TYPES = (
+        None, True, -1, 0, 1.5, "x", [], {}, [1], {"a": 1}, [[4]], "4",
+    )
+    #: Draws that once answered 500 or nothing, replayed on every run.
+    REGRESSIONS = (
+        ("/v1/simulate", b"[" * 200_000, None),
+        ("/v1/map", b'{"workload": "PV"', 100),
+    )
+
+    def draws(self, rng):
+        """``(route, body bytes, content length or None, must be 4xx)``."""
+        base = {"workload": "PV", "dim": 4, "dims": [4]}
+        for route in self.ROUTES + ("/v1/sweep",):
+            depth = rng.choice((1_000, 5_000, 100_000))  # under MAX_BODY
+            yield route, b"[" * depth, None, True
+            yield route, b'{"workload": ' * depth, None, True
+            near = rng.randint(900, 1_000)  # around the recursion limit
+            yield route, (
+                b'{"workload": "PV", "dim": ' + b"[" * near + b"]" * near
+                + b', "dims": ' + b"[" * near + b"]" * near + b"}"
+            ), None, True
+            big = "".join(rng.choice("123456789") for _ in range(5_000))
+            yield route, f'{{"workload": "PV", "dim": {big}}}'.encode(), \
+                None, True
+            for word in ("NaN", "Infinity", "-Infinity"):
+                # Every route reads one of these number fields.
+                yield route, (
+                    f'{{"workload": "PV", "dim": {word}, "dims": [{word}],'
+                    f' "reconfig_scale": {word}}}'.encode()
+                ), None, True
+            for field in self.FIELDS:
+                value = rng.choice(self.WRONG_TYPES)
+                body = {**base, field: value}
+                if field == "network":
+                    body.pop("workload")
+                if route == "/v1/sweep":
+                    body = {"points": [body]}
+                yield route, json.dumps(body).encode(), None, False
+            yield route, json.dumps(
+                {**base, "dims": [4] * rng.randint(33, 500)}
+            ).encode(), None, route in ("/v1/dse",)
+            yield route, json.dumps(
+                {**base, "dim": rng.randint(257, 10**12)}
+            ).encode(), None, route != "/v1/dse"
+            yield route, json.dumps(
+                {"points": [base] * rng.randint(1_025, 3_000)}
+            ).encode(), None, route == "/v1/sweep"
+            yield route, json.dumps(
+                {"points": rng.choice(self.WRONG_TYPES)}
+            ).encode(), None, route == "/v1/sweep"
+            noise = bytes(rng.randrange(128, 256) for _ in range(64))
+            yield route, b'{"workload": "' + noise + b'"}', None, True
+            text = json.dumps(base).encode()
+            cut = rng.randrange(1, len(text))
+            yield route, text[:cut], None, True
+            yield route, text[:cut], len(text), True
+        for route, body, length in self.REGRESSIONS:
+            yield route, body, length, True
+
+    def test_hostile_bodies_never_5xx_or_hang(self, server):
+        started = time.monotonic()
+        rng = random.Random(self.SEED)
+        for route, body, length, must_reject in self.draws(rng):
+            status = status_of(
+                raw_exchange(server.port, post_bytes(route, body,
+                                                     length=length))
+            )
+            label = f"{route} {body[:60]!r} (len {len(body)})"
+            assert status < 500, label
+            if must_reject:
+                assert 400 <= status < 500, label
+            else:
+                assert status == 200 or 400 <= status < 500, label
+        assert time.monotonic() - started < 5.0

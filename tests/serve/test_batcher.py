@@ -1,16 +1,17 @@
-"""BatchScheduler semantics and its interplay with the Coalescer.
+"""The serve path's one in-flight table: :class:`BatchScheduler`.
 
-The Coalescer collapses *identical* in-flight requests (one leader per
-key); the BatchScheduler fuses *compatible* cold ones (same kind and
-network, different dims) into ONE pool dispatch.  These tests pin the
-contract between the two: for any concurrent mix of identical,
-compatible, and incompatible requests the number of real backend
-dispatches (``serve.backend_computations``) is exactly
+Every admitted request makes one call into the table.  *Identical*
+requests (same content-addressed key) attach to one leader, which alone
+probes the cache and computes; *compatible* cold leaders (same kind and
+network, different dims) fuse into ONE pool dispatch.  For any
+concurrent mix of identical, compatible, and incompatible requests the
+number of real backend dispatches (``serve.backend_computations``) is
+exactly
 
     #compatibility-groups among *distinct* batchable requests
   + #distinct non-batchable requests
 
-and every waiter receives the same payload a direct singleton
+and every caller receives the same payload a direct singleton
 computation (:func:`repro.serve.compute.execute_request`) would have
 produced — batching must never change an answer, only its cost.
 """
@@ -30,11 +31,13 @@ from repro.serve.app import ServeApp
 from repro.serve.batcher import (
     BATCHABLE_KINDS,
     BatchPolicy,
+    BatchScheduler,
     compatibility_key,
     fuse_requests,
 )
 from repro.serve.compute import execute_request
 from repro.serve.loadtest import metric_total
+from repro.serve.resilience import ServeResilience
 from repro.serve.schemas import parse_request
 
 
@@ -281,4 +284,148 @@ class TestLeaderCrashFailover:
         ) == 5
         for payload, request in zip(payloads, requests):
             assert payload["source"] == "computed"
+            assert payload["result"] == execute_request("dse", request.spec)
+
+
+def scheduler_over(run):
+    """A bare table over a fake pool ``run`` (``map`` never batches)."""
+    return BatchScheduler(BatchPolicy(), run, ServeResilience().breaker)
+
+
+def map_request(dim=4):
+    return parse_request("map", {"workload": "PV", "dim": dim})
+
+
+def counting_run(calls, *, delay=0.01, error=None):
+    async def run(request, progress):
+        calls.append(request.key)
+        await asyncio.sleep(delay)
+        if error is not None:
+            raise error
+        return {"result": request.label, "spans": []}
+
+    return run
+
+
+def submit_all(table, requests):
+    async def scenario():
+        return await asyncio.gather(
+            *(table.submit(request, lambda record: None)
+              for request in requests),
+            return_exceptions=True,
+        )
+
+    return asyncio.run(scenario())
+
+
+class TestIdenticalRequests:
+    """One leader per key; identical callers share its outcome."""
+
+    def test_concurrent_same_key_computes_once(self):
+        calls = []
+        table = scheduler_over(counting_run(calls))
+        payloads = submit_all(table, [map_request()] * 8)
+        assert len(calls) == 1
+        assert [p["result"] for p in payloads] == ["map:PV@4"] * 8
+        # Exactly one leader; everyone else attached to it.
+        assert sorted(p["source"] for p in payloads) == (
+            ["coalesced"] * 7 + ["computed"]
+        )
+        assert REGISTRY.gauge("serve.inflight").value == 0
+
+    def test_distinct_keys_do_not_coalesce(self):
+        calls = []
+        table = scheduler_over(counting_run(calls))
+        payloads = submit_all(table, [map_request(4), map_request(8)])
+        assert len(set(calls)) == 2
+        assert [p["source"] for p in payloads] == ["computed"] * 2
+
+    def test_leader_failure_fails_every_waiter(self):
+        calls = []
+        failing = counting_run(calls, error=ValueError("boom"))
+        healthy = counting_run(calls)
+        table = scheduler_over(
+            lambda request, progress: (failing if len(calls) == 0
+                                       else healthy)(request, progress)
+        )
+        outcomes = submit_all(table, [map_request()] * 4)
+        assert len(calls) == 1
+        assert all(isinstance(o, ValueError) for o in outcomes)
+        assert REGISTRY.gauge("serve.inflight").value == 0
+        # The key was released: the next caller leads a fresh attempt.
+        (retry,) = submit_all(table, [map_request()])
+        assert (retry["source"], len(calls)) == ("computed", 2)
+
+    def test_sequential_requests_compute_each_time(self):
+        calls = []
+        table = scheduler_over(counting_run(calls, delay=0.0))
+        submit_all(table, [map_request()])
+        submit_all(table, [map_request()])
+        # No in-flight leader to attach to -> the second call computes
+        # (the persistent cache, off here, is what serves warm repeats).
+        assert len(calls) == 2
+
+    def test_waiter_cancellation_leaves_leader_running(self):
+        calls = []
+        table = scheduler_over(counting_run(calls, delay=0.05))
+
+        async def scenario():
+            leader = asyncio.ensure_future(
+                table.submit(map_request(), lambda record: None)
+            )
+            await asyncio.sleep(0.01)
+            waiter = asyncio.ensure_future(
+                table.submit(map_request(), lambda record: None)
+            )
+            await asyncio.sleep(0.01)
+            waiter.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await waiter
+            return await leader
+
+        payload = asyncio.run(scenario())
+        assert len(calls) == 1
+        assert (payload["result"], payload["source"]) == (
+            "map:PV@4", "computed"
+        )
+
+    def test_identical_callers_never_probe_the_cache(self, serve_cache):
+        calls = []
+        table = scheduler_over(counting_run(calls))
+        before = REGISTRY.snapshot()
+        submit_all(table, [map_request()] * 6)
+        after = REGISTRY.snapshot()
+        assert len(calls) == 1
+        # One leader, one probe: the five attached callers skip it.
+        assert snapshot_delta(before, after, "cache.lookups") == 1
+        assert snapshot_delta(before, after, "serve.coalesced") == 5
+
+
+class TestIdenticalAndCompatibleInOneWindow:
+    def test_duplicates_attach_while_distinct_keys_fuse(self):
+        dims = ([4], [6], [4], [8], [6], [4])
+        requests = [
+            parse_request("dse", {"workload": "PV", "dims": d}) for d in dims
+        ]
+        app = make_app(window_ms=100.0)
+        before = REGISTRY.snapshot()
+        try:
+            payloads = drive(app, requests)
+        finally:
+            app.shutdown()
+        after = REGISTRY.snapshot()
+        # Three distinct keys fuse into one dispatch; the three
+        # duplicates attach to their key's leader instead of joining.
+        assert snapshot_delta(
+            before, after, "serve.backend_computations"
+        ) == 1
+        assert snapshot_delta(before, after, "serve.batches") == 1
+        assert snapshot_delta(before, after, "serve.batched") == 3
+        assert snapshot_delta(before, after, "serve.coalesced") == 3
+        assert [p["source"] for p in payloads] == [
+            "computed", "computed", "coalesced",
+            "computed", "coalesced", "coalesced",
+        ]
+        for payload, request in zip(payloads, requests):
+            assert payload["key"] == request.key
             assert payload["result"] == execute_request("dse", request.spec)
